@@ -2,7 +2,7 @@
 
 A full discovery run costs a few thousand target interactions; a
 crash-durable run killed mid mutation analysis resumes from its newest
-checkpoint generation and re-does only the unrealised suffix.  The
+snapshot plus replayed journal and re-does only the unrecorded suffix.  The
 bench measures that resume cost in two regimes -- **cold cache** (the
 resumed run re-probes the target for everything past the checkpoint)
 and **warm cache** (a shared probe cache answers everything the crashed
@@ -12,7 +12,8 @@ bit-for-bit the uninterrupted one.
 
 ``BENCH_resume.json`` records wall seconds and remote-execution counts
 for the baseline, the crashed prefix, and both resume regimes, plus the
-checkpoint commit count and on-disk size of the run directory -- the
+snapshots and journal entries the warm leg wrote (crashed prefix and
+resume together) and the on-disk size of its run directory -- the
 durability overhead a user pays for the privilege of being killable.
 """
 
@@ -94,8 +95,11 @@ def test_resume_cost_cold_vs_warm_cache(benchmark, tmp_path):
         # Warm resume: the cache already holds every answer the crashed
         # run extracted, so the resumed suffix is (almost) probe-free.
         warm_dir = tmp_path / "warm-run"
-        crash_warm_s, _ = _timed(lambda: _crash(warm_dir, cache))
+        crash_warm_s, crashed = _timed(lambda: _crash(warm_dir, cache))
         warm_resume_s, (warm_report, warm_run) = _timed(lambda: _resume(warm_dir, cache))
+        # the resume handle counts the generations it found on disk too
+        snapshots = warm_run.commits
+        entries = crashed.durable.appends + warm_run.appends
 
         disk = sum(p.stat().st_size for p in warm_run.directory.iterdir())
         return {
@@ -106,7 +110,8 @@ def test_resume_cost_cold_vs_warm_cache(benchmark, tmp_path):
             "resume_warm_s": round(warm_resume_s, 3),
             "cold_executions": cold_report.machine_stats.executions,
             "warm_executions": warm_report.machine_stats.executions,
-            "checkpoint_commits": warm_run.commits,
+            "checkpoint_commits": snapshots,
+            "journal_entries": entries,
             "run_dir_bytes": disk,
             "latency_s": LATENCY,
             "crash_at": CRASH_AT,

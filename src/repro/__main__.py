@@ -20,7 +20,6 @@
     python -m repro client --url URL status|wait|spec|cancel JOB_ID
     python -m repro client --url URL stats|jobs|readyz
     python -m repro cache-info DIR [--json]
-    python -m repro migrate-run RUNDIR
     python -m repro retarget <target>... --program FILE.a
     python -m repro run <target> --program FILE.a
     python -m repro lint [<target>...] [--source PATH] [--format text|json|sarif]
@@ -48,10 +47,11 @@ simulates the per-verb round-trip cost that makes all of those worth
 having.
 
 ``--run-dir`` makes the run crash-durable: every completed phase (and,
-inside the fan-out phases, every ``--checkpoint-every`` completed
-samples) commits an atomic checkpoint generation to the directory, and
-``--resume RUNDIR`` restarts a killed run from the newest valid one --
-producing a spec bit-for-bit identical to an uninterrupted run.
+inside the record phases, every ``--checkpoint-every`` completed
+samples) is appended to a journal next to the newest snapshot, and
+``--resume RUNDIR`` restarts a killed run from the newest valid
+snapshot plus its journal -- producing a spec bit-for-bit identical to
+an uninterrupted run.
 ``--crash-at``/``--crash-kill`` are the crash-injection harness the
 durability tests drive (see :mod:`repro.machines.crashes`).
 
@@ -60,9 +60,7 @@ supervisor (see :mod:`repro.discovery.supervisor`): each target gets a
 child worker, workers heartbeat leases into their run directories, and
 a dead or wedged worker's campaign is adopted by a fresh one via the
 portable checkpoints -- retry with backoff first, then escalate venue
-knobs, then quarantine with a typed failure record.  ``migrate-run``
-rewrites a run directory's newest checkpoint from the legacy pickle
-schema to the portable one.
+knobs, then quarantine with a typed failure record.
 
 ``lint`` statically verifies discovered machine descriptions;
 ``verify-spec`` goes further and *proves* them: every emission rule,
@@ -324,34 +322,6 @@ def _cmd_campaign(args):
             f"attempts={entry['attempts']} {spec}"
         )
     return 0 if summary["ok"] else 1
-
-
-def _cmd_migrate_run(args):
-    from repro.discovery import durable
-
-    run = durable.DurableRun.open(args.rundir)
-    generations = run.generations()
-    if not generations:
-        print(f"no checkpoints in {args.rundir}; nothing to migrate", file=sys.stderr)
-        return 1
-    schema = durable.generation_schema(generations[-1].read_bytes())
-    if schema == durable.CHECKPOINT_SCHEMA:
-        print(f"{args.rundir}: already schema {schema}, nothing to do")
-        return 0
-    checkpoint, warnings = run.load_checkpoint()
-    for warning in warnings:
-        print(f"warning: {warning}", file=sys.stderr)
-    if checkpoint is None:
-        print(f"no loadable checkpoint in {args.rundir}", file=sys.stderr)
-        return 1
-    path = run.commit(checkpoint)
-    run.config["schema"] = durable.CHECKPOINT_SCHEMA
-    run._write_manifest()
-    print(
-        f"migrated {args.rundir}: {path.name} is schema "
-        f"{durable.CHECKPOINT_SCHEMA} (portable; loads pickle-free)"
-    )
-    return 0
 
 
 def _read_program(args):
@@ -878,8 +848,8 @@ def main(argv=None):
         type=int,
         default=None,
         metavar="N",
-        help="per-sample completion records per durable commit in the "
-        "fan-out phases (default: $REPRO_CHECKPOINT_EVERY or 8)",
+        help="samples per journaled completion record in the "
+        "record phases (default: $REPRO_CHECKPOINT_EVERY or 8)",
     )
     p_discover.add_argument(
         "--crash-at",
@@ -985,12 +955,6 @@ def main(argv=None):
         "--chaos-seed", type=int, default=0xC4A0, metavar="N",
         help="seed for the chaos kill schedule",
     )
-
-    p_migrate = sub.add_parser(
-        "migrate-run",
-        help="rewrite a run directory's checkpoint to the portable schema",
-    )
-    p_migrate.add_argument("rundir", metavar="RUNDIR")
 
     p_cache_info = sub.add_parser(
         "cache-info", help="inventory a probe-cache directory's shards"
@@ -1238,7 +1202,6 @@ def main(argv=None):
         "targets": _cmd_targets,
         "discover": _cmd_discover,
         "campaign": _cmd_campaign,
-        "migrate-run": _cmd_migrate_run,
         "cache-info": _cmd_cache_info,
         "serve": _cmd_serve,
         "client": _cmd_client,

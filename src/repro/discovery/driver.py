@@ -22,14 +22,15 @@ up without redoing completed phases.
 
 Because the *discovery process itself* can also die (kill -9, OOM, a
 rebooted build host), the checkpoint is durable: pass ``run_dir=`` (CLI
-``--run-dir``) and every completed phase -- plus, inside the fan-out
-phases, every ``checkpoint_every`` completed samples -- commits an
-atomic, schema-versioned checkpoint generation to disk (see
+``--run-dir``) and every ``checkpoint_every`` completed samples of a
+record phase, and every completed phase, become durable -- as an entry
+appended to the journal of the newest snapshot, or as a new snapshot
+where the journal cannot express a phase's effects (see
 :mod:`~repro.discovery.durable`).  ``repro discover --resume RUNDIR``
-reloads the newest valid generation and produces a spec bit-for-bit
-identical to an uninterrupted run; a :class:`~repro.machines.crashes.
-CrashPlan` (``crash_plan=``) kills the driver at any phase or sample
-boundary to prove it.
+reloads the newest valid snapshot, replays its journal and produces a
+spec bit-for-bit identical to an uninterrupted run; a
+:class:`~repro.machines.crashes.CrashPlan` (``crash_plan=``) kills the
+driver at any phase or sample boundary to prove it.
 
 Because the target is *slow to reach* (round-trips dominate discovery
 cost), the per-sample work -- sample realisation, register probing,
@@ -56,6 +57,7 @@ from repro.discovery.branches import BranchAnalysis
 from repro.discovery.cache import ProbeCache, make_caching
 from repro.discovery.calling import CallAnalysis
 from repro.discovery.durable import (
+    SETUP_KEY,
     DurableRun,
     PhaseProgress,
     auto_run_directory,
@@ -67,7 +69,7 @@ from repro.discovery.extract_pool import ExtractionEngine
 from repro.discovery.frames import discover_frame, discover_idioms
 from repro.discovery.generator import SampleGenerator, realise_sample
 from repro.discovery.lexer import extract_region
-from repro.discovery.mutation import MutationEngine
+from repro.discovery.mutation import MutationEngine, MutationStats
 from repro.discovery.preprocess import Preprocessor
 from repro.discovery.resilience import ResilienceConfig, make_resilient
 from repro.discovery.scheduler import ProbeScheduler, TargetConnectionPool
@@ -398,6 +400,10 @@ class ArchitectureDiscovery:
             self._apply_adaptive_sizing(state)
 
         try:
+            # Every run opens with a snapshot of its starting state, so
+            # the journal it appends to extends a snapshot this process
+            # wrote (a resumed run re-bases off whatever replay rebuilt).
+            self._commit()
             for name, method in self.phases:
                 if name in completed:
                     continue
@@ -420,18 +426,18 @@ class ArchitectureDiscovery:
                     raise DiscoveryInterrupted(
                         name, exc, checkpoint, checkpoint_path=path
                     ) from exc
-                completed.append(name)
+                complete_phase(state, completed, name)
                 if name == "enquire":
                     # Size the scheduler while the link is freshly
                     # characterised, before the first fan-out phase.
                     self._apply_adaptive_sizing(state)
-                self._commit()
+                self._phase_durable(name)
                 self._crash_point("after", name)
         except KeyboardInterrupt:
             # Ctrl-C gets a durability story too: the run is one
             # --resume away instead of lost.  With a run directory the
-            # newest on-disk generation (committed at the last record
-            # boundary) is already consistent -- committing the live
+            # newest snapshot plus its journal (current to the last
+            # record boundary) is already consistent -- committing the live
             # in-memory state here could snapshot a chunk that was
             # absorbed but not yet recorded, which a resume would then
             # redo.  Without one, best-effort persist into a fallback
@@ -534,10 +540,31 @@ class ArchitectureDiscovery:
         )
 
     def _commit(self):
-        """Durably publish the current checkpoint (no-op without a run
-        directory)."""
+        """Durably publish the current checkpoint as a snapshot (no-op
+        without a run directory)."""
         if self.durable is not None:
             self.durable.commit(self._checkpoint())
+
+    def _phase_durable(self, name):
+        """Make a just-completed phase durable: journal its result when
+        it has one, otherwise snapshot -- but only when the next phase
+        will journal something (its entries must extend a snapshot that
+        holds this phase's effects) or the run is over.  Phases in
+        between re-run on resume if a crash beats the next snapshot."""
+        if self.durable is None:
+            return
+        if name in PHASE_RESULTS:
+            self.durable.append_done(
+                name, phase_result(self._report, self._state, name)
+            )
+        else:
+            names = [phase for phase, _ in self.phases]
+            following = names[names.index(name) + 1 :]
+            if not following or (
+                following[0] in PHASE_RESULTS or following[0] in self.FAN_OUT_PHASES
+            ):
+                self._commit()
+        self.durable.note_completed(self._completed)
 
     def _crash_point(self, kind, phase, index=None):
         """A crash-injection boundary: the CrashPlan, when armed, dies
@@ -562,15 +589,22 @@ class ArchitectureDiscovery:
 
     def _progress(self, phase):
         """The per-sample completion records of one fan-out phase.
-        Each record commits a checkpoint generation and exposes a
-        ``sample`` crash boundary to the harness."""
+        Each record merges through :func:`apply_record`, is appended to
+        the journal, and exposes a ``sample`` crash boundary to the
+        harness."""
         store = self._state.setdefault("progress", {}).setdefault(phase, {})
 
+        def apply(key, payload):
+            apply_record(self._report, self._state, phase, key, payload)
+            if self.durable is not None:
+                self.durable.append_record(phase, key, payload)
+
         def on_record(count):
-            self._commit()
             self._crash_point("sample", phase, count)
 
-        return PhaseProgress(store, chunk=self.checkpoint_every, on_record=on_record)
+        return PhaseProgress(
+            store, chunk=self.checkpoint_every, on_record=on_record, apply=apply
+        )
 
     # -- quarantine helper --------------------------------------------
 
@@ -594,15 +628,17 @@ class ArchitectureDiscovery:
 
     def _phase_generate(self, report, state):
         # Spec construction draws from the seeded rng strictly in order
-        # and is cheap, so it happens in one shot; realisation (one
-        # compile and one run per sample) fans out in completion-record
-        # chunks.  On mid-phase resume the corpus already exists and the
-        # unrealised suffix is exactly the samples still pending.
-        if report.corpus is None:
-            generator = SampleGenerator(self.machine, report.syntax, seed=self.seed)
-            report.corpus = generator.build_corpus(word_bits=report.enquire.word_bits)
-        corpus = report.corpus
+        # and is cheap, so it happens in one shot -- recorded as the
+        # phase's setup, which replay rebuilds from the seed alone;
+        # realisation (one compile and one run per sample) fans out in
+        # completion-record chunks carrying the realised fields.  On
+        # mid-phase resume the unrealised suffix is exactly the samples
+        # still pending.
         progress = self._progress("sample generation")
+        if report.corpus is None:
+            progress.setup({"seed": self.seed, "word_bits": report.enquire.word_bits})
+            report.corpus.machine = self.machine
+        corpus = report.corpus
         pending = [
             s
             for s in corpus.samples
@@ -614,7 +650,7 @@ class ArchitectureDiscovery:
                 chunk,
                 phase="sample generation",
             )
-            progress.record(progress.next_key(), [s.name for s in chunk])
+            progress.record(progress.next_key(), sample_fields(chunk, GENERATED_FIELDS))
 
     def _phase_registers(self, report, state):
         asms = [s.asm_text for s in report.corpus.samples if s.usable]
@@ -628,39 +664,47 @@ class ArchitectureDiscovery:
         )
 
     def _phase_extract(self, report, state):
-        for sample in report.corpus.samples:
-            if not sample.usable:
-                continue
-            try:
-                extract_region(sample, report.syntax)
-            except DiscoveryError as exc:
-                sample.discard(f"extraction failed: {exc}")
-            except TargetError as exc:
-                self._quarantine(sample, "region extraction", exc)
+        progress = self._progress("region extraction")
+        done = set()
+        for payload in progress.payloads():
+            done.update(payload)
+        pending = [
+            s for s in report.corpus.samples if s.usable and s.name not in done
+        ]
+        for chunk in chunked(pending, progress.chunk):
+            for sample in chunk:
+                try:
+                    extract_region(sample, report.syntax)
+                except DiscoveryError as exc:
+                    sample.discard(f"extraction failed: {exc}")
+                except TargetError as exc:
+                    self._quarantine(sample, "region extraction", exc)
+            progress.record(progress.next_key(), sample_fields(chunk, EXTRACTED_FIELDS))
 
     def _phase_mutation(self, report, state):
+        progress = self._progress("mutation analysis")
         if report.engine is None:
-            engine = MutationEngine(
-                report.corpus, word_bits=report.enquire.word_bits, seed=self.seed
-            )
-            report.engine = engine
             # Corpus-wide facts are computed once, sequentially, *before*
             # the fan-out: the functional-register set and the pilot
             # sample's clobber-safe set (which seeds the engine's
             # fast-path guess).  Forked engines then share them
             # read-only, so the answers -- and the rng draws that
-            # produced them -- are identical for any worker count.  On
-            # resume the pickled engine carries both facts and its rng
-            # position, so nothing is recomputed or redrawn.
-            engine.functional_registers()
+            # produced them -- are identical for any worker count.  The
+            # setup record carries both facts and the rng position, so
+            # a resume never recomputes or redraws them.
+            scratch = MutationEngine(
+                report.corpus, word_bits=report.enquire.word_bits, seed=self.seed
+            )
+            scratch.functional_registers()
             pilot = next(iter(report.corpus.usable_samples()), None)
             if pilot is not None:
-                engine.clobber_safe_registers(pilot)
+                scratch.clobber_safe_registers(pilot)
+            progress.setup(engine_setup(scratch))
         engine = report.engine
-        progress = self._progress("mutation analysis")
         analysed = set()
-        for names in progress.payloads():
-            analysed.update(names)
+        for payload in progress.payloads():
+            # records written before journaling were plain name lists
+            analysed.update(payload["samples"] if isinstance(payload, dict) else payload)
         tasks = [
             s
             for s in report.corpus.samples
@@ -673,10 +717,12 @@ class ArchitectureDiscovery:
             return fork
 
         for chunk in chunked(tasks, progress.chunk):
+            regions = {s.name: s.region for s in chunk}
             outcomes = self.scheduler.map(analyse, chunk, phase="mutation analysis")
+            stats = MutationStats()
             for sample, outcome in zip(chunk, outcomes):
                 if outcome.ok:
-                    engine.absorb(outcome.value)
+                    stats.add(vars(outcome.value.stats))
                 elif isinstance(outcome.error, DiscoveryInterrupted):
                     raise outcome.error
                 elif isinstance(outcome.error, DiscoveryError):
@@ -687,8 +733,30 @@ class ArchitectureDiscovery:
                     raise outcome.error
             # Quarantined and discarded samples are recorded *done* too:
             # resume must not silently retry them (their probes failed
-            # terminally; the discarded reason rides the checkpoint).
-            progress.record(progress.next_key(), [s.name for s in chunk])
+            # terminally; the discarded reason rides the record).
+            names = [s.name for s in chunk]
+            fields = sample_fields(chunk, PREPROCESSED_FIELDS)
+            for sample in chunk:
+                # Passes replace the region list, never edit it in
+                # place: an untouched one is already in the extraction
+                # record.
+                if sample.region is regions[sample.name]:
+                    del fields[sample.name]["region"]
+            progress.record(
+                progress.next_key(),
+                {
+                    "samples": fields,
+                    "value_sets": {
+                        n: engine._value_sets[n] for n in names if n in engine._value_sets
+                    },
+                    "clobber_safe": {
+                        n: engine._clobber_safe[n]
+                        for n in names
+                        if n in engine._clobber_safe
+                    },
+                    "stats": vars(stats),
+                },
+            )
 
     def _phase_addresses(self, report, state):
         report.addr_map = discover_address_map(report.corpus)
@@ -789,6 +857,176 @@ class ArchitectureDiscovery:
             report.diagnostics = DiagnosticSet()
         report.diagnostics.extend(result.diagnostics)
         report.spec.diagnostics = report.diagnostics.to_dicts()
+
+
+# -- completion records and phase results -------------------------------
+#
+# A record phase's completion record carries everything its chunk
+# changed, and :func:`apply_record` is the only way a record reaches the
+# run state: the live phase calls it through ``PhaseProgress.record``,
+# journal replay calls it from :func:`replay_entry`.  Phases listed in
+# :data:`PHASE_RESULTS` journal their completion as the few fields they
+# set; the effects of any other phase become durable with the next
+# snapshot.
+
+#: sample fields each record-phase chunk writes
+GENERATED_FIELDS = ("main_c", "asm_text", "expected_output", "discarded")
+EXTRACTED_FIELDS = ("pre_lines", "post_lines", "region", "notes", "discarded")
+PREPROCESSED_FIELDS = ("info", "region", "region_original", "notes", "discarded")
+
+#: phase -> the (root, attr, ...) paths whose values make up its
+#: journaled result; ``root`` is "report" or "state"
+PHASE_RESULTS = {
+    "enquire": (("report", "enquire"), ("state", "adaptive_sizing")),
+    "assembler syntax": (("report", "syntax"), ("report", "probe_log")),
+    "sample generation": (),
+    "register discovery": (("report", "syntax", "registers"),),
+    "region extraction": (),
+    "mutation analysis": (),
+    "address mapping": (("report", "addr_map"),),
+    "graph matching": (("state", "graph_roles"),),
+    "spec lint": (("report", "diagnostics"), ("report", "spec", "diagnostics")),
+    "spec verify": (
+        ("report", "verify_stats"),
+        ("report", "diagnostics"),
+        ("report", "spec", "diagnostics"),
+    ),
+}
+
+
+def sample_fields(samples, fields):
+    """``{sample name: {field: value}}`` for a chunk's samples (fields a
+    sample never got -- analysis gave up first -- are left out)."""
+    return {
+        s.name: {name: getattr(s, name) for name in fields if hasattr(s, name)}
+        for s in samples
+    }
+
+
+def _merge_samples(corpus, fields_by_name):
+    by_name = {s.name: s for s in corpus.samples}
+    for name, fields in fields_by_name.items():
+        sample = by_name[name]
+        for field_name, value in fields.items():
+            setattr(sample, field_name, value)
+
+
+def engine_setup(engine):
+    """The setup record of mutation analysis: the corpus-wide facts a
+    fresh engine computed before the fan-out, and its rng position."""
+    return {
+        "word_bits": engine.word_bits,
+        "seed": engine.seed,
+        "rng": engine.rng,
+        "stats": vars(engine.stats).copy(),
+        "functional": engine._functional,
+        "safe_guess": engine._safe_guess,
+        "value_sets": dict(engine._value_sets),
+        "clobber_safe": dict(engine._clobber_safe),
+    }
+
+
+def _merge_generation(report, key, payload):
+    if key == SETUP_KEY:
+        generator = SampleGenerator(None, report.syntax, seed=payload["seed"])
+        report.corpus = generator.build_corpus(word_bits=payload["word_bits"])
+    else:
+        _merge_samples(report.corpus, payload)
+
+
+def _merge_extraction(report, key, payload):
+    _merge_samples(report.corpus, payload)
+
+
+def _merge_mutation(report, key, payload):
+    if key == SETUP_KEY:
+        engine = MutationEngine(
+            report.corpus,
+            word_bits=payload["word_bits"],
+            seed=payload["seed"],
+            rng=payload["rng"],
+        )
+        engine.stats = MutationStats(**payload["stats"])
+        engine._functional = payload["functional"]
+        engine._safe_guess = payload["safe_guess"]
+        engine._value_sets = dict(payload["value_sets"])
+        engine._clobber_safe = dict(payload["clobber_safe"])
+        report.engine = engine
+        return
+    _merge_samples(report.corpus, payload["samples"])
+    engine = report.engine
+    engine._value_sets.update(payload["value_sets"])
+    engine._clobber_safe.update(payload["clobber_safe"])
+    engine.stats.add(payload["stats"])
+
+
+_MERGES = {
+    "sample generation": _merge_generation,
+    "register discovery": lambda report, key, payload: probe.merge_register_record(
+        report.probe_log, payload
+    ),
+    "region extraction": _merge_extraction,
+    "mutation analysis": _merge_mutation,
+}
+
+
+def apply_record(report, state, phase, key, payload):
+    """Store one completion record and merge what its chunk changed into
+    the run state -- the single merge path of the live run and replay.
+    (Reverse-interpretation shard outcomes only need storing: the
+    extraction engine merges them when the phase finishes.)"""
+    state.setdefault("progress", {}).setdefault(phase, {})[key] = payload
+    merge = _MERGES.get(phase)
+    if merge is not None:
+        merge(report, key, payload)
+
+
+def _resolve(report, state, path):
+    return report if path[0] == "report" else state, path[1:]
+
+
+def phase_result(report, state, phase):
+    """The journaled result of a :data:`PHASE_RESULTS` phase: the values
+    at its paths, as ``[(path, value), ...]``."""
+    out = []
+    for path in PHASE_RESULTS[phase]:
+        node, attrs = _resolve(report, state, path)
+        if isinstance(node, dict):
+            if attrs[0] not in node:
+                continue
+            node = node[attrs[0]]
+        else:
+            node = getattr(node, attrs[0])
+        for attr in attrs[1:]:
+            node = getattr(node, attr)
+        out.append((path, node))
+    return out
+
+
+def replay_entry(checkpoint, entry):
+    """Apply one journal entry to a thawed checkpoint."""
+    report, state = checkpoint.report, checkpoint.state
+    if entry["kind"] == "record":
+        apply_record(report, state, entry["phase"], entry["key"], entry["payload"])
+        return
+    for path, value in entry["result"]:
+        node, attrs = _resolve(report, state, path)
+        if isinstance(node, dict):
+            node[attrs[0]] = value
+            continue
+        for attr in attrs[:-1]:
+            node = getattr(node, attr)
+        setattr(node, attrs[-1], value)
+    complete_phase(state, checkpoint.completed, entry["phase"])
+
+
+def complete_phase(state, completed, phase):
+    """Mark *phase* completed.  Its completion records are dropped: a
+    completed phase never re-reads them (a resume that re-runs it gets
+    them back from the journal), and snapshots stay the size of the
+    state rather than of the state plus every record."""
+    completed.append(phase)
+    state.get("progress", {}).pop(phase, None)
 
 
 class _Clock:

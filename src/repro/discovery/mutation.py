@@ -88,6 +88,11 @@ class MutationStats:
     succeeded: int = 0
     runs: int = 0
 
+    def add(self, counts):
+        """Fold in another tally (a fork's counters, a record's delta)."""
+        for name, value in counts.items():
+            setattr(self, name, getattr(self, name) + value)
+
 
 @dataclass
 class ValueSet:
@@ -139,12 +144,6 @@ class MutationEngine:
         clone._safe_guess = self._safe_guess
         clone._functional = self._functional
         return clone
-
-    def absorb(self, fork):
-        """Fold a fork's private counters back in (merge step)."""
-        self.stats.attempted += fork.stats.attempted
-        self.stats.succeeded += fork.stats.succeeded
-        self.stats.runs += fork.stats.runs
 
     # -- value sets ---------------------------------------------------------
 

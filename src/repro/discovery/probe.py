@@ -269,6 +269,13 @@ def _expansion_candidates(confirmed):
     return candidates
 
 
+def merge_register_record(log, payload):
+    """Fold what one register-probe chunk logged (its record's probe
+    count and notes) into the run's log."""
+    log.register_probes += payload["probes"]
+    log.notes.extend(payload["notes"])
+
+
 def discover_registers(
     machine, syntax, asm_texts, log=None, scheduler=None, progress=None
 ):
@@ -287,14 +294,16 @@ def discover_registers(
     worker count.
 
     Pass a :class:`~repro.discovery.durable.PhaseProgress` to probe in
-    checkpointed chunks: each chunk's confirmed subset is recorded under
-    a position-stable key, and a resumed run replays recorded chunks
-    from the checkpoint instead of re-probing the target.  Candidate
-    lists are sorted, so chunk boundaries -- and the replay -- are
-    identical across runs.
+    checkpointed chunks: each chunk probes against a chunk-local log,
+    and its record -- the confirmed subset plus the probe count and
+    notes the chunk logged, which the record's apply folds into *log*
+    via :func:`merge_register_record` -- lands under a position-stable
+    key.  A resumed run replays recorded chunks instead of re-probing
+    the target.  Candidate lists are sorted, so chunk boundaries -- and
+    the replay -- are identical across runs.
     """
 
-    def probes_ok(candidate, conn=machine):
+    def probes_ok(candidate, conn, log):
         try:
             return _probe_register(conn, syntax, candidate, log)
         except TransientTargetError as exc:
@@ -302,19 +311,19 @@ def discover_registers(
                 log.note(f"register probe {candidate!r} skipped: {exc}")
             return False
 
-    def probe_chunk(candidates, phase):
+    def probe_chunk(candidates, phase, log):
         if scheduler is not None:
             # Non-transient errors (e.g. an open circuit breaker) abort
             # the phase exactly as they would in the sequential loop.
             outcomes = scheduler.map_values(
-                lambda cand, conn: probes_ok(cand, conn), candidates, phase=phase
+                lambda cand, conn: probes_ok(cand, conn, log), candidates, phase=phase
             )
             return {cand for cand, ok in zip(candidates, outcomes) if ok}
-        return {cand for cand in candidates if probes_ok(cand)}
+        return {cand for cand in candidates if probes_ok(cand, machine, log)}
 
     def probe_batch(candidates, phase):
         if progress is None:
-            return probe_chunk(candidates, phase)
+            return probe_chunk(candidates, phase, log)
         from repro.discovery.durable import chunked
 
         confirmed = set()
@@ -322,11 +331,22 @@ def discover_registers(
             key = f"{phase}:{position:05d}"
             replay = progress.recorded(key)
             if replay is not None:
-                confirmed.update(replay)
+                # records written before journaling were bare name lists
+                confirmed.update(
+                    replay["confirmed"] if isinstance(replay, dict) else replay
+                )
                 continue
-            got = probe_chunk(chunk, phase)
+            local = ProbeLog()
+            got = probe_chunk(chunk, phase, local)
             confirmed.update(got)
-            progress.record(key, sorted(got))
+            progress.record(
+                key,
+                {
+                    "confirmed": sorted(got),
+                    "probes": local.register_probes,
+                    "notes": local.notes,
+                },
+            )
         return confirmed
 
     confirmed = probe_batch(sorted(_register_seeds(syntax, asm_texts)), "register seeds")

@@ -106,6 +106,92 @@ def test_crash_mid_phase_sample_boundary(spec, tmp_path, cachedir, vax_ref_spec)
     assert report.spec.render_beg() == vax_ref_spec
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "sample:sample_generation:9",
+        "sample:sample_generation:16",  # the last record, before the phase ends
+        "sample:register_discovery:1",  # the first seed chunk
+        "sample:register_discovery:12",
+        "sample:register_discovery:57",
+        "sample:register_discovery:111",
+        "sample:region_extraction:1",
+        "sample:region_extraction:9",
+        "sample:mutation_analysis:1",  # right after the engine setup record
+        "sample:mutation_analysis:16",
+        "sample:reverse_interpretation:17",
+        "sample:reverse_interpretation:30",
+    ],
+)
+def test_crash_at_journal_record_boundary(spec, tmp_path, cachedir, vax_ref_spec):
+    """Kills right after a journal append, across every record phase:
+    the resumed state is the opening snapshot plus the replayed journal,
+    and it must land on the reference spec."""
+    report = _crash_then_resume(
+        CrashPlan.parse(spec), tmp_path / "run", cache=cachedir
+    )
+    assert report.spec.render_beg() == vax_ref_spec
+
+
+def _snapshot_only_records(progress):
+    """Completion records in the shapes the snapshot-only layout wrote:
+    sample-name lists, confirmed-register lists, no setup records."""
+    legacy = {}
+    for phase, store in progress.items():
+        shaped = {}
+        for key, payload in store.items():
+            if key == "setup":
+                continue
+            if phase == "register discovery":
+                payload = payload["confirmed"]
+            elif phase == "mutation analysis":
+                payload = list(payload["samples"])
+            elif phase == "sample generation":
+                payload = list(payload)
+            shaped[key] = payload
+        legacy[phase] = shaped
+    return legacy
+
+
+def test_snapshot_only_run_directory_resumes(tmp_path, cachedir, vax_ref_spec):
+    """A run directory from before the journal -- one mid-phase snapshot,
+    legacy-shaped records, no journal file -- still resumes to the
+    identical spec."""
+    rundir = tmp_path / "crashed"
+    driver = ArchitectureDiscovery(
+        RemoteMachine("vax"),
+        workers=1,
+        cache=cachedir,
+        run_dir=str(rundir),
+        crash_plan=CrashPlan.parse("sample:mutation_analysis:3"),
+    )
+    with pytest.raises(SimulatedCrash):
+        driver.run()
+    checkpoint, _ = DurableRun.open(str(rundir)).load_checkpoint()
+    checkpoint.state["progress"] = _snapshot_only_records(
+        checkpoint.state["progress"]
+    )
+
+    legacy = DurableRun.attach(tmp_path / "legacy", DurableRun.open(str(rundir)).config)
+    legacy.commit(checkpoint)
+    for journal in legacy.directory.glob("journal-*.log"):
+        journal.unlink()
+
+    run = DurableRun.open(str(legacy.directory))
+    machine, resilience = machine_from_config(run.config)
+    resumed, warnings = run.load_checkpoint()
+    assert warnings == []
+    report = ArchitectureDiscovery(
+        machine,
+        resilience=resilience,
+        workers=1,
+        cache=cachedir,
+        run_dir=run,
+        checkpoint_every=run.config["checkpoint_every"],
+    ).run(resume=resumed)
+    assert report.spec.render_beg() == vax_ref_spec
+
+
 def test_resume_with_different_worker_count(tmp_path, cachedir, vax_ref_spec):
     """Venue independence survives the crash boundary: a run killed at
     workers=1 resumed at workers=2 still lands on the reference spec."""

@@ -1,12 +1,12 @@
 """The durable-checkpoint layer: envelope integrity, atomic commits,
-corruption fallback, and serialisation fidelity.
+corruption fallback, journal replay, and serialisation fidelity.
 
 The crash-at-every-phase spec-identity sweep lives in
 ``test_crash_resume.py``; this file pins the storage layer itself --
-what a checkpoint file *is*, what survives corruption, what rides the
-checkpoint (quarantine reasons, progress records, rng positions), and
-the portable-schema contract: the happy path never touches pickle,
-while schema-1 generations from the previous release still load.
+what a snapshot and a journal *are*, what survives corruption, what
+rides the checkpoint (quarantine reasons, progress records, rng
+positions), how much a run writes, and the portable-schema contract:
+a pickle-bodied schema-1 generation is skipped, never unpickled.
 """
 
 import hashlib
@@ -25,15 +25,13 @@ from repro.discovery.driver import (
 from repro.discovery import durable
 from repro.discovery.durable import (
     CHECKPOINT_SCHEMA,
+    ENTRY_FRAME,
     KEEP_GENERATIONS,
-    LEGACY_PICKLE_SCHEMA,
     MAGIC,
     DurableRun,
     PhaseProgress,
     chunked,
-    detach_runtime,
     freeze_checkpoint,
-    generation_schema,
     machine_from_config,
     parse_envelope,
     run_config,
@@ -340,32 +338,33 @@ def test_quarantine_stays_quarantined_across_resume(tmp_path):
     )
 
 
-# -- the portable schema and the pickle-era fallback ---------------------
+# -- the portable schema; pickle-era generations are foreign -------------
 
 
-def _legacy_blob(checkpoint):
-    """A schema-1 generation, byte-compatible with what the previous
-    release's ``freeze_checkpoint`` wrote (pickle body)."""
-    with detach_runtime(checkpoint):
-        payload = pickle.dumps(
-            {
-                "target": checkpoint.target,
-                "completed": list(checkpoint.completed),
-                "state": checkpoint.state,
-                "report": checkpoint.report,
-            },
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
+class _Tripwire:
+    """Unpickling this touches a marker file -- proof of a pickle load."""
+
+    def __init__(self, marker):
+        self.marker = marker
+
+    def __reduce__(self):
+        return (pathlib.Path.touch, (pathlib.Path(self.marker),))
+
+
+def _pickled_blob(payload, schema):
+    """A generation with a pickle body, shaped like the schema-1 files
+    the pickle-era release wrote."""
+    body = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
     header = json.dumps(
         {
-            "schema": LEGACY_PICKLE_SCHEMA,
-            "target": checkpoint.target,
-            "length": len(payload),
-            "sha256": hashlib.sha256(payload).hexdigest(),
+            "schema": schema,
+            "target": "vax",
+            "length": len(body),
+            "sha256": hashlib.sha256(body).hexdigest(),
         },
         sort_keys=True,
     ).encode("utf-8")
-    return MAGIC + header + b"\n" + payload
+    return MAGIC + header + b"\n" + body
 
 
 def test_checkpoint_body_is_portable_json_not_pickle():
@@ -377,18 +376,6 @@ def test_checkpoint_body_is_portable_json_not_pickle():
     json.loads(payload)  # parses as plain JSON
 
 
-def test_happy_path_performs_zero_pickle_loads(tmp_path):
-    """A run directory checkpointed by this build resumes without a
-    single pickle load -- the property that makes any worker on any
-    build able to adopt it."""
-    before = durable.LEGACY_PICKLE_LOADS
-    run = _mid_run_checkpoint(tmp_path)
-    checkpoint, warnings = run.load_checkpoint()
-    assert warnings == []
-    assert checkpoint is not None
-    assert durable.LEGACY_PICKLE_LOADS == before
-
-
 def test_equal_checkpoints_freeze_to_equal_bytes():
     """Deterministic serialisation: the supervisor compares checkpoint
     checksums across workers, so equal state must mean equal bytes."""
@@ -397,60 +384,29 @@ def test_equal_checkpoints_freeze_to_equal_bytes():
     assert blob_a == blob_b
 
 
-def test_legacy_pickle_generation_still_loads(tmp_path):
+def _assert_pickle_generation_skipped(tmp_path, schema):
     run = DurableRun.attach(tmp_path / "run", {"target": "vax"})
-    blob = _legacy_blob(_small_checkpoint())
-    (run.directory / "ckpt-000001.bin").write_bytes(blob)
-    assert generation_schema(blob) == LEGACY_PICKLE_SCHEMA
-    before = durable.LEGACY_PICKLE_LOADS
+    run.commit(_small_checkpoint())
+    marker = tmp_path / "unpickled"
+    blob = _pickled_blob({"target": "vax", "trap": _Tripwire(marker)}, schema)
+    (run.directory / "ckpt-000002.bin").write_bytes(blob)
     checkpoint, warnings = run.load_checkpoint()
+    assert not marker.exists()
     assert checkpoint is not None
-    assert checkpoint.completed == ["enquire", "assembler syntax"]
-    assert durable.LEGACY_PICKLE_LOADS == before + 1
-    assert any("migrate-run" in w for w in warnings)
+    assert checkpoint.completed == ["enquire", "assembler syntax"]  # generation 1
+    assert any(f"schema version {schema}" in w for w in warnings)
+
+
+def test_legacy_pickle_generation_is_skipped_never_unpickled(tmp_path):
+    """A schema-1 (pickle-era) generation gets the foreign-schema
+    treatment: skipped with a warning, the older portable generation
+    wins, and the body is never decoded."""
+    _assert_pickle_generation_skipped(tmp_path, 1)
 
 
 def test_unknown_future_schema_never_unpickles(tmp_path):
-    """Only the one known legacy schema gets the pickle path: a forged
-    schema-0 header must not reach ``pickle.loads``."""
-    run = DurableRun.attach(tmp_path / "run", {"target": "vax"})
-    blob = _legacy_blob(_small_checkpoint())
-    header, payload = parse_envelope(blob)
-    header["schema"] = 0
-    forged = (
-        MAGIC + json.dumps(header, sort_keys=True).encode() + b"\n" + payload
-    )
-    (run.directory / "ckpt-000001.bin").write_bytes(forged)
-    before = durable.LEGACY_PICKLE_LOADS
-    checkpoint, warnings = run.load_checkpoint()
-    assert checkpoint is None
-    assert durable.LEGACY_PICKLE_LOADS == before
-    assert any("schema" in w for w in warnings)
-
-
-def test_migrate_run_converts_legacy_to_portable(tmp_path, capsys):
-    from repro.__main__ import main
-
-    run = DurableRun.attach(tmp_path / "run", {"target": "vax", "schema": 1})
-    (run.directory / "ckpt-000001.bin").write_bytes(
-        _legacy_blob(_small_checkpoint())
-    )
-    assert main(["migrate-run", str(run.directory)]) == 0
-    out = capsys.readouterr().out
-    assert "migrated" in out
-
-    reopened = DurableRun.open(str(run.directory))
-    newest = reopened.generations()[-1].read_bytes()
-    assert generation_schema(newest) == CHECKPOINT_SCHEMA
-    before = durable.LEGACY_PICKLE_LOADS
-    checkpoint, warnings = reopened.load_checkpoint()
-    assert checkpoint is not None
-    assert checkpoint.completed == ["enquire", "assembler syntax"]
-    assert durable.LEGACY_PICKLE_LOADS == before  # pickle-free from now on
-    assert warnings == []
-    # Idempotent: a second migrate is a no-op.
-    assert main(["migrate-run", str(run.directory)]) == 0
-    assert "already schema" in capsys.readouterr().out
+    """The same for a forged schema-0 header over a pickle body."""
+    _assert_pickle_generation_skipped(tmp_path, 0)
 
 
 def test_mid_run_checkpoint_is_cross_process_portable(tmp_path):
@@ -486,3 +442,164 @@ def test_chunked_preserves_order_and_covers_everything():
     assert chunked(range(7), 3) == [[0, 1, 2], [3, 4, 5], [6]]
     assert chunked([], 3) == []
     assert chunked([1, 2], 0) == [[1], [2]]  # size clamps to 1
+
+
+# -- the record journal --------------------------------------------------
+
+_RI = "reverse interpretation"  # a record phase whose records are stored as-is
+
+
+def _journaled_run(tmp_path, records=3):
+    """A run directory with one snapshot and *records* journal entries."""
+    run = DurableRun.attach(tmp_path / "run", {"target": "vax"})
+    run.commit(_small_checkpoint())
+    for index in range(records):
+        run.append_record(_RI, f"shard-{index:05d}", [f"payload-{index}"])
+    return run
+
+
+def _entry_offsets(journal):
+    """Byte offsets of every entry frame in a journal file."""
+    blob = journal.read_bytes()
+    offset = blob.index(b"\n", len(durable.JOURNAL_MAGIC)) + 1
+    offsets = []
+    while offset < len(blob):
+        offsets.append(offset)
+        length, _ = ENTRY_FRAME.unpack_from(blob, offset)
+        offset += ENTRY_FRAME.size + length
+    return offsets
+
+
+def _replayed(checkpoint):
+    return checkpoint.state["progress"].get(_RI, {})
+
+
+def test_journal_replays_onto_its_snapshot(tmp_path):
+    run = _journaled_run(tmp_path)
+    assert [p.name for p in run.generations()] == ["ckpt-000001.bin"]
+    assert run.journal_path(1).exists()
+    checkpoint, warnings = run.load_checkpoint()
+    assert warnings == []
+    assert _replayed(checkpoint) == {
+        f"shard-{i:05d}": [f"payload-{i}"] for i in range(3)
+    }
+    # the snapshot itself is untouched by appends
+    assert _RI not in thaw_checkpoint(run.generations()[-1].read_bytes()).state[
+        "progress"
+    ]
+
+
+def test_journal_done_entry_completes_a_phase(tmp_path):
+    run = DurableRun.attach(tmp_path / "run", {"target": "vax"})
+    run.commit(_small_checkpoint())
+    run.append_done("graph matching", [(("state", "graph_roles"), {"k": "v"})])
+    checkpoint, warnings = run.load_checkpoint()
+    assert warnings == []
+    assert checkpoint.completed[-1] == "graph matching"
+    assert checkpoint.state["graph_roles"] == {"k": "v"}
+
+
+def test_journal_torn_tail_entry_is_dropped(tmp_path):
+    """A crash mid-append leaves a partial last frame: everything before
+    it replays, the tail is reported, nothing raises."""
+    run = _journaled_run(tmp_path)
+    journal = run.journal_path(1)
+    journal.write_bytes(journal.read_bytes()[:-5])
+    checkpoint, warnings = run.load_checkpoint()
+    assert sorted(_replayed(checkpoint)) == ["shard-00000", "shard-00001"]
+    assert len(warnings) == 1 and "torn tail at entry 2" in warnings[0]
+
+
+def test_journal_bit_flip_stops_replay_before_the_entry(tmp_path):
+    """A corrupt middle entry: replay stops *before* it -- later entries
+    are never applied out of order -- and says so."""
+    run = _journaled_run(tmp_path)
+    journal = run.journal_path(1)
+    blob = bytearray(journal.read_bytes())
+    blob[_entry_offsets(journal)[1] + ENTRY_FRAME.size + 3] ^= 0x20
+    journal.write_bytes(bytes(blob))
+    checkpoint, warnings = run.load_checkpoint()
+    assert list(_replayed(checkpoint)) == ["shard-00000"]
+    assert len(warnings) == 1
+    assert "entry 1 fails its checksum" in warnings[0]
+
+
+def test_journal_of_an_older_generation_is_ignored(tmp_path):
+    """Entries journaled against snapshot 1 must never be replayed onto
+    snapshot 2 -- not from their own file, and not from a file that
+    claims the newer generation's name."""
+    run = _journaled_run(tmp_path)
+    stale = run.journal_path(1).read_bytes()
+    run.commit(_small_checkpoint())
+    (run.directory / "journal-000001.log").write_bytes(stale)  # left over
+    checkpoint, warnings = run.load_checkpoint()
+    assert warnings == []
+    assert _replayed(checkpoint) == {}
+
+    run.journal_path(2).write_bytes(stale)  # misfiled under generation 2
+    checkpoint, warnings = run.load_checkpoint()
+    assert _replayed(checkpoint) == {}
+    assert len(warnings) == 1 and "extends another snapshot" in warnings[0]
+
+
+def test_journal_without_a_snapshot_is_ignored(tmp_path):
+    run = _journaled_run(tmp_path)
+    run.generations()[-1].unlink()
+    checkpoint, warnings = run.load_checkpoint()
+    assert checkpoint is None
+    assert warnings == [
+        "journal journal-000001.log has entries but no loadable snapshot; ignored"
+    ]
+
+
+def test_retention_prunes_journals_with_their_snapshots(tmp_path):
+    run = DurableRun.attach(tmp_path / "run", {"target": "vax"})
+    for _ in range(KEEP_GENERATIONS + 2):
+        run.commit(_small_checkpoint())
+    journals = sorted(p.name for p in run.directory.glob("journal-*.log"))
+    assert journals == ["journal-000003.log", "journal-000004.log"]
+
+
+def test_progress_sidecar_counts_journaled_records(tmp_path):
+    run = _journaled_run(tmp_path, records=2)
+    progress = run.read_progress()
+    assert progress["generation"] == 1
+    assert progress["phase_records"] == {"register discovery": 1, _RI: 2}
+    assert progress["completed"] == ["enquire", "assembler syntax"]
+
+
+# -- what a durable run writes (deterministic scaling pin) --------------
+
+
+def test_checkpoint_bytes_scale_with_chunks_not_the_run(tmp_path, monkeypatch):
+    """A vax run with a run directory: full snapshots only at phase
+    boundaries (at most one per completed phase, plus the run's opening
+    one), every journal entry a small fraction of the final snapshot,
+    and all checkpoint bytes together within 3x the final snapshot.
+    Counts and sizes, never timings."""
+    snapshots, entries = [], []
+    freeze, frame = durable.freeze_checkpoint, durable.frame_entry
+
+    def counted_freeze(checkpoint):
+        blob = freeze(checkpoint)
+        snapshots.append(len(blob))
+        return blob
+
+    def counted_frame(entry):
+        blob = frame(entry)
+        entries.append(len(blob))
+        return blob
+
+    monkeypatch.setattr(durable, "freeze_checkpoint", counted_freeze)
+    monkeypatch.setattr(durable, "frame_entry", counted_frame)
+    report = ArchitectureDiscovery(
+        RemoteMachine("vax"), workers=1, run_dir=str(tmp_path / "run")
+    ).run()
+    assert report.spec is not None
+
+    completed, _ = DurableRun.open(str(tmp_path / "run")).load_checkpoint()
+    final = snapshots[-1]
+    assert len(snapshots) <= len(completed.completed) + 1
+    assert len(entries) > 100  # every fan-out chunk is journaled
+    assert max(entries) <= 0.05 * final
+    assert sum(snapshots) + sum(entries) <= 3 * final
