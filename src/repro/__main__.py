@@ -120,13 +120,18 @@ def _cmd_targets(args):
 
 
 def _build_machine(args):
-    """The target machine, optionally behind a fault injector."""
-    machine = RemoteMachine(args.target, latency=getattr(args, "latency", 0.0))
-    if getattr(args, "flaky", 0.0):
-        from repro.machines.faults import FaultyMachine
+    """The target machine, optionally behind a fault injector -- built
+    by the same constructor ``--resume`` rebuilds it with."""
+    from repro.machines.restore import machine_from_manifest
 
-        machine = FaultyMachine(machine, rate=args.flaky, seed=args.fault_seed)
-    return machine
+    return machine_from_manifest(
+        {
+            "target": args.target,
+            "latency": args.latency,
+            "flaky": args.flaky,
+            "fault_seed": args.fault_seed,
+        }
+    )
 
 
 def _resilience_config(args):

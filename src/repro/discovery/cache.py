@@ -20,10 +20,12 @@ Three pieces:
   a torn write corrupts one line, which is detected, counted and treated
   as a miss), with LRU eviction above ``max_entries`` and hit / miss /
   write / eviction / corruption counters for the reports.
-* :class:`CachingMachine` -- wraps any four-verb machine (normally the
-  top of a resilience stack, so only *vetted* answers are cached) behind
-  the same surface.  Object and executable handles become *lazy*: they
-  carry the content hash of the sources they were built from, so a warm
+* :class:`CachingMachine` -- a :class:`~repro.layers.MachineLayer`
+  over any four-verb machine (normally the top of a resilience stack,
+  so only *vetted* answers are cached).  It overrides the four verbs
+  themselves, not just ``around``, because it swaps the handles they
+  pass.  Object and executable handles become *lazy*: they carry the
+  content hash of the sources they were built from, so a warm
   ``assemble -> link -> execute`` chain is answered from the cache
   without the target ever being contacted; the real toolchain runs only
   on a miss, to materialise the handle the inner machine needs.
@@ -39,6 +41,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from repro.errors import AssemblerError, LinkerError
+from repro.layers import MachineLayer, iter_layers
 
 #: bump when the entry payload schema changes: old entries must miss
 CACHE_FORMAT = 1
@@ -78,11 +81,8 @@ def target_fingerprint(machine):
     toolchain command lines and execution fuel.  Changing any toolchain
     flag changes the fingerprint, invalidating every cached answer."""
     toolchain = machine.toolchain
-    fuel = None
-    probe = machine
-    while probe is not None and fuel is None:
-        fuel = getattr(probe, "fuel", None)
-        probe = getattr(probe, "inner", None)
+    fuels = (getattr(layer, "fuel", None) for layer in iter_layers(machine))
+    fuel = next((f for f in fuels if f is not None), None)
     return _hash_text(
         f"format={CACHE_FORMAT}",
         machine.target,
@@ -472,8 +472,8 @@ class _LazyExecutable:
         return f"<a.out {self.content_hash[:8]} {state}>"
 
 
-class CachingMachine:
-    """The standard four-verb surface, answered from the cache first.
+class CachingMachine(MachineLayer):
+    """A machine layer that answers the four verbs from the cache first.
 
     Sits *outermost* in a connection stack -- above retry / voting /
     fault injection -- so cached answers are the resilience-vetted
@@ -485,7 +485,7 @@ class CachingMachine:
     """
 
     def __init__(self, machine, cache):
-        self.inner = machine
+        super().__init__(machine)
         self.cache = cache
         self.fingerprint = target_fingerprint(machine)
 
@@ -493,28 +493,6 @@ class CachingMachine:
         """A parallel connection sharing this cache (the cache itself is
         thread-safe; one store serves the whole worker pool)."""
         return CachingMachine(self.inner.clone_connection(index), self.cache)
-
-    # -- passthrough surface ------------------------------------------
-
-    @property
-    def target(self):
-        return self.inner.target
-
-    @property
-    def toolchain(self):
-        return self.inner.toolchain
-
-    @property
-    def stats(self):
-        return self.inner.stats
-
-    @property
-    def policy(self):
-        return getattr(self.inner, "policy", None)
-
-    @property
-    def fault_stats(self):
-        return getattr(self.inner, "fault_stats", None)
 
     # -- the four remote verbs ----------------------------------------
 
@@ -544,13 +522,6 @@ class CachingMachine:
             raise
         self.cache.put(self.fingerprint, "assemble", content, {"ok": True})
         return _LazyObject(content, asm_text, real=real)
-
-    def assembles_ok(self, asm_text):
-        try:
-            self.assemble(asm_text)
-        except AssemblerError:
-            return False
-        return True
 
     def link(self, objects):
         for handle in objects:
@@ -610,16 +581,6 @@ class CachingMachine:
         if exe.real is None:
             exe.real = self.inner.link([self._materialise(obj) for obj in exe.parts])
         return exe.real
-
-    # -- conveniences --------------------------------------------------
-
-    def run_c(self, sources, headers=None):
-        objects = [self.assemble(self.compile_c(src, headers)) for src in sources]
-        return self.execute(self.link(objects))
-
-    def run_asm(self, asm_texts):
-        objects = [self.assemble(text) for text in asm_texts]
-        return self.execute(self.link(objects))
 
 
 def make_caching(machine, cache):

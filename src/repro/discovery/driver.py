@@ -459,9 +459,12 @@ class ArchitectureDiscovery:
     def _finalise(self, report):
         if report.spec is not None:
             report.spec.phase_timings = report.phase_timings
-        report.machine_stats = self.pool.aggregate_machine_stats()
-        report.retry_stats = self.pool.aggregate_retry_stats()
-        report.fault_stats = self.pool.aggregate_fault_stats()
+        aggregate = self.pool.aggregate
+        report.machine_stats = aggregate(lambda layer: getattr(layer, "stats", None))
+        report.fault_stats = aggregate(lambda layer: getattr(layer, "fault_stats", None))
+        report.retry_stats = aggregate(
+            lambda layer: getattr(getattr(layer, "policy", None), "stats", None)
+        )
         report.scheduler_stats = self.scheduler.stats.snapshot()
         if self.cache is not None:
             report.cache_stats = self.cache.stats.snapshot()

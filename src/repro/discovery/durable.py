@@ -78,6 +78,7 @@ from contextlib import contextmanager
 
 from repro.discovery import portable
 from repro.errors import DiscoveryError
+from repro.layers import iter_layers
 
 #: bump when the checkpoint payload layout changes.  Schema 2 is the
 #: portable structured codec; any other schema is foreign.
@@ -148,8 +149,7 @@ def run_config(discovery):
         config["cache_dir"] = str(cache.directory)
     if cache is not None and getattr(cache, "url", None) is not None:
         config["cache_url"] = str(cache.url)
-    layer = discovery.machine
-    while layer is not None:
+    for layer in iter_layers(discovery.machine):
         plan = getattr(layer, "plan", None)
         if plan is not None and hasattr(plan, "rate"):
             config["flaky"] = plan.rate
@@ -157,7 +157,6 @@ def run_config(discovery):
         if getattr(layer, "latency", None) is not None and hasattr(layer, "fuel"):
             config["latency"] = layer.latency
             config["fuel"] = layer.fuel
-        layer = getattr(layer, "inner", None)
     return config
 
 

@@ -14,11 +14,12 @@ defences the driver wires through the probe loop:
   paper's success criterion; its trustworthiness is what the whole
   analysis rests on).
 
-:class:`ResilientMachine` packages all three behind the same four-verb
-surface as :class:`~repro.machines.machine.RemoteMachine`, so the rest
-of the discovery unit stays oblivious.  The fast path is free: with no
-faults and ``votes=1`` every verb is a single delegated call -- zero
-extra target executions.
+:class:`ResilientMachine` packages all three as one
+:class:`~repro.layers.MachineLayer`: retry and the breaker live in its
+``around`` hook, voting in its ``execute`` override, so the rest of the
+discovery unit stays oblivious.  The fast path is free: with no faults
+and ``votes=1`` every verb is a single delegated call -- zero extra
+target executions.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from repro.errors import (
     TargetTimeoutError,
     TransientTargetError,
 )
+from repro.layers import MachineLayer
 
 
 @dataclass
@@ -256,20 +258,20 @@ class ResilienceConfig:
         )
 
 
-class ResilientMachine:
-    """Retry + breaker + voting behind the standard machine surface.
+class ResilientMachine(MachineLayer):
+    """Retry + breaker + voting as one machine layer.
 
     Wraps any four-verb machine (a :class:`RemoteMachine`, or a
     :class:`~repro.machines.faults.FaultyMachine` standing in for a
-    flaky one).  Each verb is retried under the policy and guarded by a
-    per-verb circuit breaker; ``execute`` additionally runs the program
-    ``votes`` times and returns the majority verdict, because a
-    corrupted-but-clean-looking run raises no exception for retry logic
-    to see.
+    flaky one).  Its ``around`` hook retries each verb under the policy
+    behind a per-verb circuit breaker; ``execute`` additionally runs
+    the program ``votes`` times and returns the majority verdict,
+    because a corrupted-but-clean-looking run raises no exception for
+    retry logic to see.
     """
 
     def __init__(self, machine, config=None, policy=None, breaker=None):
-        self.inner = machine
+        super().__init__(machine)
         self.config = config or ResilienceConfig()
         self.policy = policy or self.config.build_policy()
         self.breaker = breaker or self.config.build_breaker()
@@ -284,73 +286,30 @@ class ResilientMachine:
         """
         return ResilientMachine(self.inner.clone_connection(index), config=self.config)
 
-    # -- passthrough surface ------------------------------------------
-
-    @property
-    def target(self):
-        return self.inner.target
-
-    @property
-    def toolchain(self):
-        return self.inner.toolchain
-
-    @property
-    def stats(self):
-        return self.inner.stats
-
-    @property
-    def fault_stats(self):
-        """Injected-fault counters when wrapping a FaultyMachine."""
-        return getattr(self.inner, "fault_stats", None)
-
-    # -- guarded delegation -------------------------------------------
-
-    def _guarded(self, verb, fn, *args, **kwargs):
+    def around(self, verb, call, *args):
         if not self.breaker.allow(verb):
             self.policy.stats.breaker_rejections += 1
             raise PermanentTargetError(
                 f"circuit open for remote {verb} (persistent target failures)"
             )
         try:
-            result = self.policy.call(fn, *args, **kwargs)
+            result = self.policy.call(call, *args)
         except TransientTargetError:
             self.breaker.record_failure(verb)
             raise
         self.breaker.record_success(verb)
         return result
 
-    # -- the four remote verbs ----------------------------------------
-
-    def compile_c(self, source, headers=None):
-        return self._guarded("compile", self.inner.compile_c, source, headers)
-
-    def assemble(self, asm_text):
-        return self._guarded("assemble", self.inner.assemble, asm_text)
-
-    def assembles_ok(self, asm_text):
-        from repro.errors import AssemblerError
-
-        try:
-            self.assemble(asm_text)
-        except AssemblerError:
-            return False
-        return True
-
-    def link(self, objects):
-        return self._guarded("link", self.inner.link, objects)
-
     def execute(self, executable):
         votes = self.config.votes
         if votes <= 1:
-            return self._guarded("execute", self.inner.execute, executable)
+            return super().execute(executable)
         stats = self.policy.stats
         minimum = votes // 2 + 1
         results = []
         for _round in range(1 + self.config.max_vote_rounds):
             for _ in range(votes if not results else 1):
-                results.append(
-                    self._guarded("execute", self.inner.execute, executable)
-                )
+                results.append(super().execute(executable))
                 stats.vote_runs += 1
                 winner = majority_vote(results, minimum)
                 if winner is not None:
@@ -359,16 +318,6 @@ class ResilientMachine:
         raise TransientTargetError(
             f"no majority among {len(results)} repeated executions"
         )
-
-    # -- conveniences (each step individually retried) -----------------
-
-    def run_c(self, sources, headers=None):
-        objects = [self.assemble(self.compile_c(src, headers)) for src in sources]
-        return self.execute(self.link(objects))
-
-    def run_asm(self, asm_texts):
-        objects = [self.assemble(text) for text in asm_texts]
-        return self.execute(self.link(objects))
 
 
 def make_resilient(machine, config=None):

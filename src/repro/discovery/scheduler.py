@@ -21,10 +21,12 @@ deterministic** for any worker count:
   making every counter and fault schedule racy; determinism wins.
 
 :class:`TargetConnectionPool` clones a connection stack via the
-``clone_connection`` protocol (RemoteMachine, FaultyMachine,
-ResilientMachine and CachingMachine all implement it; the probe cache
-is shared across clones by design) and aggregates every layer's
-counters for the final report.  :class:`ProbeScheduler` runs ordered
+``clone_connection`` protocol, which every
+:class:`~repro.layers.MachineLayer` of the stack implements (the probe
+cache is shared across clones by design), and its one
+:meth:`~TargetConnectionPool.aggregate` walks every layer of every
+connection with :func:`~repro.layers.iter_layers` to sum counters for
+the final report.  :class:`ProbeScheduler` runs ordered
 maps over the pool and records observability counters (workers, tasks,
 failures, peak in-flight depth, per-phase wall clock).
 """
@@ -35,6 +37,8 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+
+from repro.layers import iter_layers
 
 
 @dataclass
@@ -79,7 +83,7 @@ class TargetConnectionPool:
     """The primary connection plus ``size - 1`` clones of it.
 
     The primary stays reserved for the driver's sequential phases; the
-    clones serve worker threads.  ``aggregate_*`` sums the per-layer
+    clones serve worker threads.  :meth:`aggregate` sums one layer's
     counters across every connection, so reports see one machine."""
 
     def __init__(self, primary, size=1):
@@ -114,47 +118,25 @@ class TargetConnectionPool:
             return [self.primary]
         return self.connections[1:]
 
-    # -- aggregation ---------------------------------------------------
-    #
-    # Each aggregator dedupes by object identity: a layer may share one
-    # stats object across its clones (FaultyMachine does, so the handle
-    # the caller kept reflects the whole pool) and must be counted once.
+    def aggregate(self, pick):
+        """Sum one kind of counter over every layer of every connection.
 
-    def aggregate_machine_stats(self):
+        ``pick(layer)`` returns the layer's counter object (anything
+        with ``add``) or None.  Objects are deduplicated by identity:
+        a layer may share one stats object across its clones
+        (FaultyMachine does, so the handle the caller kept reflects the
+        whole pool), and every layer passes the bottom machine's
+        ``stats`` through; each is counted once."""
         total, seen = None, set()
         for conn in self.connections:
-            stats = conn.stats
-            if id(stats) in seen:
-                continue
-            seen.add(id(stats))
-            if total is None:
-                total = stats.snapshot()
-            else:
+            for layer in iter_layers(conn):
+                stats = pick(layer)
+                if stats is None or id(stats) in seen:
+                    continue
+                seen.add(id(stats))
+                if total is None:
+                    total = type(stats)()
                 total.add(stats)
-        return total
-
-    def aggregate_retry_stats(self):
-        total, seen = None, set()
-        for conn in self.connections:
-            policy = getattr(conn, "policy", None)
-            if policy is None or id(policy.stats) in seen:
-                continue
-            seen.add(id(policy.stats))
-            if total is None:
-                total = type(policy.stats)()
-            total.add(policy.stats)
-        return total
-
-    def aggregate_fault_stats(self):
-        total, seen = None, set()
-        for conn in self.connections:
-            stats = getattr(conn, "fault_stats", None)
-            if stats is None or id(stats) in seen:
-                continue
-            seen.add(id(stats))
-            if total is None:
-                total = type(stats)()
-            total.add(stats)
         return total
 
 

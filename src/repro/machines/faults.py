@@ -2,9 +2,10 @@
 
 The paper's discovery unit talks to a real machine over ``rsh``; in
 practice that link drops connections, the native toolchain crashes, and
-executions hang or return garbage.  :class:`FaultyMachine` wraps any
-machine exposing the four remote verbs (compile / assemble / link /
-execute) and injects such failures according to a seeded
+executions hang or return garbage.  :class:`FaultyMachine` is a
+:class:`~repro.layers.MachineLayer` over any machine exposing the four
+remote verbs (compile / assemble / link / execute); its ``around`` hook
+injects such failures into every verb according to a seeded
 :class:`FaultPlan`, so the resilience layer (retry, voting, quarantine)
 can be exercised reproducibly: the same seed and the same call sequence
 produce the same faults, bit for bit.
@@ -36,9 +37,10 @@ from __future__ import annotations
 
 import random
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.errors import TargetTimeoutError, TransientTargetError
+from repro.layers import MachineLayer
 
 #: the remote verbs faults can attach to
 VERBS = ("compile", "assemble", "link", "execute")
@@ -147,14 +149,12 @@ class FaultPlan:
         return output[:pos] + junk + output[pos + 1 :]
 
 
-class FaultyMachine:
-    """A machine wrapper that injects :class:`FaultPlan` faults.
+class FaultyMachine(MachineLayer):
+    """A machine layer that injects :class:`FaultPlan` faults.
 
-    Exposes the same surface as :class:`~repro.machines.machine.
-    RemoteMachine` -- the four verbs, ``assembles_ok``, ``run_c`` /
-    ``run_asm``, ``target``, ``toolchain`` and ``stats`` -- so it can be
-    dropped anywhere a machine is expected, including underneath the
-    resilience layer's own wrapper.
+    Overrides only :meth:`around`: every verb draws one fault decision
+    before the call goes through, so it can be dropped anywhere a
+    machine is expected, including underneath the resilience layer.
     """
 
     def __init__(self, machine, plan=None, rate=None, seed=0xFA17):
@@ -162,7 +162,7 @@ class FaultyMachine:
             plan = FaultPlan(rate=rate or 0.0, seed=seed)
         elif rate is not None:
             raise ValueError("pass either a FaultPlan or a rate, not both")
-        self.inner = machine
+        super().__init__(machine)
         self.plan = plan
         self.fault_stats = FaultStats()
         self._stats_lock = threading.Lock()
@@ -188,92 +188,25 @@ class FaultyMachine:
         clone._stats_lock = self._stats_lock
         return clone
 
-    # -- passthrough surface ------------------------------------------
-
-    @property
-    def target(self):
-        return self.inner.target
-
-    @property
-    def toolchain(self):
-        return self.inner.toolchain
-
-    @property
-    def stats(self):
-        """Invocation counters of the real machine (faulted calls that
-        never reached it do not count)."""
-        return self.inner.stats
-
-    # -- fault machinery ----------------------------------------------
-
     def _bump(self, counter):
         with self._stats_lock:
             setattr(self.fault_stats, counter, getattr(self.fault_stats, counter) + 1)
 
-    def _fault(self, verb):
+    def around(self, verb, call, *args):
         kind = self.plan.decide(verb)
         if kind is None:
             self._bump("clean_calls")
-            return None
-        if kind == "drop":
+        elif kind == "drop":
             self._bump("drops")
             raise TransientTargetError(f"connection to target dropped during {verb}")
-        return kind
-
-    def _after(self, verb, kind):
+        result = call(*args)
         if kind == "crash":
             self._bump("crashes")
             raise TransientTargetError(f"remote {verb} tool crashed")
         if kind == "timeout":
             self._bump("timeouts")
             raise TargetTimeoutError(f"remote {verb} timed out")
-
-    # -- the four remote verbs ----------------------------------------
-
-    def compile_c(self, source, headers=None):
-        kind = self._fault("compile")
-        result = self.inner.compile_c(source, headers)
-        self._after("compile", kind)
-        return result
-
-    def assemble(self, asm_text):
-        kind = self._fault("assemble")
-        result = self.inner.assemble(asm_text)
-        self._after("assemble", kind)
-        return result
-
-    def assembles_ok(self, asm_text):
-        from repro.errors import AssemblerError
-
-        try:
-            self.assemble(asm_text)
-        except AssemblerError:
-            return False
-        return True
-
-    def link(self, objects):
-        kind = self._fault("link")
-        result = self.inner.link(objects)
-        self._after("link", kind)
-        return result
-
-    def execute(self, executable):
-        kind = self._fault("execute")
-        result = self.inner.execute(executable)
-        self._after("execute", kind)
-        if kind == "corrupt" and result.ok:
+        if kind == "corrupt" and result.ok:  # the plan corrupts executions only
             self._bump("corruptions")
-            from dataclasses import replace
-
             return replace(result, output=self.plan.corrupt_output(result.output))
         return result
-
-    # -- conveniences (mirror RemoteMachine) --------------------------
-
-    def run_c(self, sources, headers=None):
-        objects = [self.assemble(self.compile_c(src, headers)) for src in sources]
-        return self.execute(self.link(objects))
-
-    def run_asm(self, asm_texts):
-        objects = [self.assemble(text) for text in asm_texts]
-        return self.execute(self.link(objects))

@@ -17,9 +17,10 @@ currency) an analysis costs.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import LinkerError
+from repro.layers import MachineLayer
 from repro.machines import alpha, m68k, mips, sparc, vax, x86
 from repro.machines.assembler import Assembler
 from repro.machines.executor import run as execute_program
@@ -109,15 +110,6 @@ class MachineStats:
     links: int = 0
     executions: int = 0
 
-    def snapshot(self):
-        return MachineStats(
-            self.compilations,
-            self.assemblies,
-            self.assembly_errors,
-            self.links,
-            self.executions,
-        )
-
     def add(self, other):
         """Accumulate another connection's counters (pool aggregation)."""
         self.compilations += other.compilations
@@ -133,23 +125,25 @@ class MachineStats:
         return self.compilations + self.assemblies + self.links + self.executions
 
 
-@dataclass
-class _Session:
-    stats: MachineStats = field(default_factory=MachineStats)
-
-
-class RemoteMachine:
+class RemoteMachine(MachineLayer):
     """A simulated target host reachable "over the network".
 
     The four verbs mirror the tools the paper requires of a target:
     an assembly-producing C compiler, an assembler that flags illegal
-    input, a linker, and remote execution.
+    input, a linker, and remote execution.  It is the bottom layer of
+    every connection stack: its verbs do the work instead of calling
+    through, and it owns the attributes the layers above pass through.
     """
+
+    # Plain per-instance attributes here: they shadow the base class's
+    # pass-through properties, as there is nothing beneath to pass to.
+    target = toolchain = stats = None
 
     def __init__(self, target, toolchain=None, fuel=500_000, latency=0.0):
         if target not in _TARGETS:
             raise ValueError(f"unknown target {target!r}; have {target_names()}")
         build_isa, build_runtime = _TARGETS[target]
+        super().__init__(None)
         self.target = target
         self.toolchain = toolchain or Toolchain()
         self.fuel = fuel
@@ -203,16 +197,6 @@ class RemoteMachine:
             self.stats.assembly_errors += 1
             raise
 
-    def assembles_ok(self, asm_text):
-        """Accept/reject probe: does the assembler take this program?"""
-        from repro.errors import AssemblerError
-
-        try:
-            self.assemble(asm_text)
-        except AssemblerError:
-            return False
-        return True
-
     def link(self, objects):
         """Run the native linker over object handles."""
         self.stats.links += 1
@@ -232,18 +216,6 @@ class RemoteMachine:
         if not isinstance(executable, ExecutableHandle):
             raise LinkerError(f"not an executable handle: {executable!r}")
         return execute_program(executable._program, fuel=self.fuel)
-
-    # -- conveniences --------------------------------------------------
-
-    def run_c(self, sources, headers=None):
-        """compile + assemble + link + execute a list of C sources."""
-        objects = [self.assemble(self.compile_c(src, headers)) for src in sources]
-        return self.execute(self.link(objects))
-
-    def run_asm(self, asm_texts):
-        """assemble + link + execute a list of assembly sources."""
-        objects = [self.assemble(text) for text in asm_texts]
-        return self.execute(self.link(objects))
 
     def _get_codegen(self):
         if self._codegen is None:

@@ -19,8 +19,9 @@ from repro.machines.machine import RemoteMachine
 
 
 def machine_from_manifest(config):
-    """Rebuild the (possibly fault-injected) target machine described
-    by a durable run's ``run.json`` manifest dict."""
+    """Build the (possibly fault-injected) target machine described by
+    a durable run's ``run.json`` manifest dict.  Fresh CLI runs build
+    theirs from the same dict shape, so the two cannot drift apart."""
     kwargs = {}
     if config.get("fuel") is not None:
         kwargs["fuel"] = config["fuel"]
@@ -28,8 +29,9 @@ def machine_from_manifest(config):
         config["target"], latency=config.get("latency") or 0.0, **kwargs
     )
     if config.get("flaky"):
+        seed = config.get("fault_seed")
         machine = FaultyMachine(
-            machine, rate=config["flaky"], seed=config.get("fault_seed") or 0xFA17
+            machine, rate=config["flaky"], seed=0xFA17 if seed is None else seed
         )
     return machine
 

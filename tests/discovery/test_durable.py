@@ -164,6 +164,35 @@ def test_machine_from_config_rebuilds_fault_stack():
     assert resilience.votes == 3
 
 
+def test_fault_seed_zero_survives_resume():
+    """A fault seed of 0 is a seed like any other: the manifest must not
+    mistake it for "unset" and fall back to the default plan."""
+    from repro.machines.faults import FaultPlan, FaultyMachine
+    from repro.machines.restore import machine_from_manifest
+
+    original = FaultyMachine(
+        RemoteMachine("sparc", fuel=123_456, latency=0.002), rate=0.08, seed=0
+    )
+    driver = ArchitectureDiscovery(original, workers=1)
+    config = run_config(driver)
+    driver.scheduler.close()
+    driver.extractor.close()
+    assert config["fault_seed"] == 0
+    rebuilt = machine_from_manifest(json.loads(json.dumps(config)))
+    assert rebuilt.plan.seed == 0
+    assert rebuilt.plan.rate == 0.08
+    assert rebuilt.inner.latency == 0.002
+    assert rebuilt.inner.fuel == 123_456
+
+    def draws(plan):
+        return [plan.decide("execute") for _ in range(50)]
+
+    expected = draws(original.plan)
+    assert any(expected)
+    assert draws(rebuilt.plan) == expected
+    assert draws(FaultPlan(rate=0.08, seed=0xFA17)) != expected
+
+
 # -- corruption fallback (satellite: never a crash) ---------------------
 
 

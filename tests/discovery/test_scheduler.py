@@ -10,10 +10,11 @@ quarantine logic depends on.
 import pytest
 
 from repro.discovery.driver import ArchitectureDiscovery, DiscoveryReport
-from repro.discovery.resilience import ResilienceConfig
+from repro.discovery.resilience import ResilienceConfig, RetryStats
 from repro.discovery.scheduler import ProbeScheduler, TargetConnectionPool
+from repro.layers import iter_layers
 from repro.machines.faults import FaultyMachine
-from repro.machines.machine import RemoteMachine
+from repro.machines.machine import MachineStats, RemoteMachine
 
 
 def test_spec_identical_for_any_worker_count():
@@ -36,15 +37,30 @@ def test_spec_identical_under_faults():
     def discover(workers):
         machine = FaultyMachine(RemoteMachine("mips"), rate=0.05, seed=7)
         config = ResilienceConfig(votes=3)
-        return ArchitectureDiscovery(
-            machine, resilience=config, workers=workers
-        ).run()
+        driver = ArchitectureDiscovery(machine, resilience=config, workers=workers)
+        return machine, driver, driver.run()
 
-    serial = discover(1)
-    fanned = discover(4)
+    _, _, serial = discover(1)
+    machine, driver, fanned = discover(4)
     assert serial.fault_stats.injected > 0
-    assert fanned.fault_stats.injected > 0
     assert fanned.spec.render_beg() == serial.spec.render_beg()
+
+    # The pool's aggregation counts every counter object exactly once.
+    # Fault counters are shared by every clone of the caller's injector.
+    assert fanned.fault_stats == machine.fault_stats
+    assert machine.fault_stats.injected > 0
+    connections = driver.pool.connections
+    assert len(connections) == 5
+    machine_total = MachineStats()
+    retry_total = RetryStats()
+    for conn in connections:
+        layers = list(iter_layers(conn))
+        assert isinstance(layers[-1], RemoteMachine)
+        machine_total.add(layers[-1].stats)
+        retry_total.add(layers[0].policy.stats)
+    assert len({id(conn.policy.stats) for conn in connections}) == 5
+    assert fanned.machine_stats == machine_total
+    assert fanned.retry_stats == retry_total
 
 
 def test_empty_report_summary_has_no_division_by_zero():
